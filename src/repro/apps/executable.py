@@ -51,9 +51,11 @@ class InvocationMemo:
     invocation counts, budget charges, spans, metrics — still happens on a
     hit, so ``stats.invocations`` is independent of cache temperature.
 
-    ``max_rows`` bounds the fingerprint cost: hashing is O(rows), so states
-    larger than the bound bypass the memo (probe states are tiny; the
-    original instance is not).  Thread-safe for the probe scheduler.
+    ``max_rows`` bounds the fingerprint cost.  Table digests are cached on
+    their row lists (see :meth:`Database.undigested_rows`), so a key costs
+    O(rows changed since they were last hashed); a state with more such rows
+    than the bound bypasses the memo.  Untouched D_I tables beside a tiny
+    probe state cost nothing.  Thread-safe for the probe scheduler.
     """
 
     __slots__ = ("capacity", "max_rows", "_entries", "_lock", "hits", "misses", "bypasses")
@@ -69,7 +71,7 @@ class InvocationMemo:
 
     def key_for(self, db: Database, timeout: Optional[float]):
         """The memo key for ``db``'s current state, or None to bypass."""
-        if db.total_rows() > self.max_rows:
+        if db.undigested_rows() > self.max_rows:
             with self._lock:
                 self.bypasses += 1
             return None

@@ -82,7 +82,7 @@ def _compare_once(
             return
     finally:
         for name, table_rows in snapshot.items():
-            session.silo.replace_rows(name, table_rows)
+            session.silo.install_rows(name, table_rows)
 
     limit = session.query.limit
     if limit is not None and hidden.row_count == limit:

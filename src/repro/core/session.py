@@ -448,18 +448,23 @@ class ExtractionSession:
                 span.tags["retries"] = span.tags.get("retries", 0) + 1
                 span.set_tag("last_retried_error", type(error).__name__)
 
-    def run_on(self, rows_by_table: dict[str, list[tuple]]) -> Result:
+    def run_on(
+        self, rows_by_table: dict[str, list[tuple]], *, canonical: bool = False
+    ) -> Result:
         """Invoke the application on a transient database state.
 
         ``rows_by_table`` replaces the named tables' contents for the duration
         of the run; the sandbox restores everything afterwards, so the silo's
-        resident state (usually ``D^1``) is preserved.
+        resident state (usually ``D^1``) is preserved.  Rows are coerced to
+        the column types unless ``canonical`` says they came out of the
+        engine already typed (e.g. slices of the silo's own rows).
         """
+        install = self.silo.install_rows if canonical else self.silo.replace_rows
         with self.silo.sandbox():
             for name, rows in rows_by_table.items():
                 rows = self._with_multiplier(name, rows)
                 self._charge_cells(name, rows)
-                self.silo.replace_rows(name, rows)
+                install(name, rows)
             return self.run()
 
     def _charge_cells(self, table: str, rows: list[tuple]) -> None:

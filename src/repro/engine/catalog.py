@@ -9,6 +9,7 @@ graph structure the join extractor consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.engine.types import SQLType
@@ -74,6 +75,12 @@ class TableSchema:
     @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
+
+    @cached_property
+    def signature(self) -> bytes:
+        """Column names and types as hashed into content fingerprints
+        (computed once: the schema is frozen)."""
+        return "".join(f"|{col.name}:{col.type!r}" for col in self.columns).encode()
 
     def has_column(self, name: str) -> bool:
         lowered = name.lower()

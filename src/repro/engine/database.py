@@ -38,7 +38,7 @@ from repro.engine.sqlast import (
     SelectStatement,
     Update,
 )
-from repro.engine.storage import TableData
+from repro.engine.storage import TableData, rows_digest
 from repro.obs.trace import NULL_TRACER
 from repro.engine.types import (
     BigIntType,
@@ -134,21 +134,20 @@ class DatabaseSnapshot:
 def _content_fingerprint(
     schemas: dict[str, TableSchema], rows: dict[str, list[tuple]]
 ) -> str:
-    """sha256 over schema signatures and row contents, in table-name order.
+    """sha256 over schema signatures and per-table row digests, in
+    table-name order.
 
-    Row *order* is included: the sandbox guarantee is byte-for-byte
-    restoration, and the engine's scans are order-sensitive.
+    Row *order* is included (see :func:`~repro.engine.storage.rows_digest`):
+    the sandbox guarantee is byte-for-byte restoration, and the engine's
+    scans are order-sensitive.  Table digests are cached on their row lists,
+    so only tables changed since they were last hashed cost O(rows).
     """
     digest = hashlib.sha256()
     for name in sorted(schemas):
-        schema = schemas[name]
         digest.update(name.encode())
-        for column in schema.columns:
-            digest.update(f"|{column.name}:{column.type!r}".encode())
+        digest.update(schemas[name].signature)
         digest.update(b"#")
-        for row in rows[name]:
-            digest.update(repr(row).encode())
-            digest.update(b"\n")
+        digest.update(rows_digest(rows[name]))
         digest.update(b"@")
     return digest.hexdigest()
 
@@ -502,6 +501,17 @@ class Database:
     def replace_rows(self, name: str, rows: Iterable[Sequence]) -> None:
         self.table(name).replace_all(rows)
 
+    def install_rows(self, name: str, rows: Iterable[tuple]) -> None:
+        """Replace a table's rows with rows that are already canonical.
+
+        The trusted twin of :meth:`replace_rows`: no per-value coercion, so
+        it is only for rows that came out of this engine (samples, halves,
+        snapshot copies).  Values from outside — generated data, synthesised
+        probe values, worker frames, counterexample JSON — must go through
+        :meth:`replace_rows`.
+        """
+        self.table(name).install(rows)
+
     def clear_table(self, name: str) -> None:
         self.table(name).clear()
 
@@ -529,6 +539,15 @@ class Database:
 
     def total_rows(self) -> int:
         return sum(len(data) for data in self._tables.values())
+
+    def undigested_rows(self) -> int:
+        """Rows in tables without a cached digest: what the next
+        :meth:`fingerprint` has to hash."""
+        return sum(
+            len(data.rows)
+            for data in self._tables.values()
+            if getattr(data.rows, "digest", None) is None
+        )
 
     def total_cells(self) -> int:
         """Resident cell count (rows × columns summed over all tables).
@@ -918,7 +937,11 @@ class Database:
             self.restore(token)
 
     def fingerprint(self) -> str:
-        """A stable content hash of the live state (schemas + rows)."""
+        """A stable content hash of the live state (schemas + rows).
+
+        Costs O(tables + :meth:`undigested_rows`): per-table digests are
+        cached on the row lists until a mutation replaces or appends to them.
+        """
         return _content_fingerprint(
             {name: data.schema for name, data in self._tables.items()},
             {name: data.rows for name, data in self._tables.items()},

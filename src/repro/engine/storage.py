@@ -10,10 +10,17 @@ internal row list and marks it *shared*; the next in-place mutation copies the
 list first, so the shared reference stays frozen.  Most mutators already
 rebind ``_rows`` to a freshly built list, which makes sharing nearly free —
 the extraction pipeline takes a snapshot around every invocation.
+
+Every stored row list is a :class:`RowList`, which caches its content digest
+(see :func:`rows_digest`).  A digest is valid only while its list is frozen:
+in-place appends clear it and every rebinding mutator installs a fresh list
+without one.  Snapshots share list objects, so they carry the digests for
+free, and a database fingerprint costs O(tables + rows not yet digested).
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -21,12 +28,30 @@ from repro.engine.catalog import TableSchema
 from repro.errors import TypeMismatchError
 
 
+class RowList(list):
+    """A table's row list with a lazily cached content digest."""
+
+    __slots__ = ("digest",)
+
+
+def rows_digest(rows: RowList) -> bytes:
+    """sha256 over the rows' reprs, in order; cached on ``rows``."""
+    digest = getattr(rows, "digest", None)
+    if digest is None:
+        hasher = hashlib.sha256()
+        for row in rows:
+            hasher.update(repr(row).encode())
+            hasher.update(b"\n")
+        digest = rows.digest = hasher.digest()
+    return digest
+
+
 class TableData:
     """Rows of a single table, validated against its schema."""
 
     def __init__(self, schema: TableSchema, rows: Iterable[Sequence] = ()):
         self.schema = schema
-        self._rows: list[tuple] = []
+        self._rows = RowList()
         #: True while ``_rows`` is also referenced by a snapshot and must not
         #: be mutated in place (copy-on-write)
         self._shared = False
@@ -65,12 +90,14 @@ class TableData:
 
     def _mutable_rows(self) -> list[tuple]:
         if self._shared:
-            self._rows = list(self._rows)
+            self._rows = RowList(self._rows)
             self._shared = False
+        else:
+            self._rows.digest = None
         return self._rows
 
-    def _rebind(self, rows: list[tuple]) -> None:
-        self._rows = rows
+    def _rebind(self, rows: Iterable[tuple]) -> None:
+        self._rows = RowList(rows)
         self._shared = False
 
     # -- mutation ----------------------------------------------------------
@@ -89,14 +116,21 @@ class TableData:
         self._mutable_rows().append(self.coerce_row(row))
 
     def extend(self, rows: Iterable[Sequence]) -> None:
-        for row in rows:
-            self.insert(row)
+        self._mutable_rows().extend(map(self.coerce_row, rows))
 
     def clear(self) -> None:
         self._rebind([])
 
     def replace_all(self, rows: Iterable[Sequence]) -> None:
-        self._rebind([self.coerce_row(row) for row in rows])
+        self._rebind(map(self.coerce_row, rows))
+
+    def install(self, rows: Iterable[tuple]) -> None:
+        """Adopt rows that are already canonical, without coercion.
+
+        Only for rows the engine itself produced (snapshot slices, samples,
+        minimizer halves); external values go through :meth:`replace_all`.
+        """
+        self._rebind(rows)
 
     def delete_where(self, predicate: Callable[[tuple], bool]) -> int:
         kept = [row for row in self._rows if not predicate(row)]
@@ -124,17 +158,15 @@ class TableData:
         """Assign ``value`` to ``column`` in every row (bulk mutation helper)."""
         idx = self.schema.column_index(column)
         coerced = self.schema.column(column).type.coerce(value)
-        self._rebind([row[:idx] + (coerced,) + row[idx + 1 :] for row in self._rows])
+        self._rebind(row[:idx] + (coerced,) + row[idx + 1 :] for row in self._rows)
 
     def map_column(self, column: str, fn: Callable) -> None:
         """Apply ``fn`` to ``column`` in every row (e.g. the Negate mutation)."""
         idx = self.schema.column_index(column)
         col_type = self.schema.column(column).type
         self._rebind(
-            [
-                row[:idx] + (col_type.coerce(fn(row[idx])),) + row[idx + 1 :]
-                for row in self._rows
-            ]
+            row[:idx] + (col_type.coerce(fn(row[idx])),) + row[idx + 1 :]
+            for row in self._rows
         )
 
     # -- read helpers --------------------------------------------------------
@@ -152,5 +184,5 @@ class TableData:
 
     def copy(self) -> "TableData":
         clone = TableData(self.schema)
-        clone._rows = list(self._rows)
+        clone._rows = RowList(self._rows)
         return clone

@@ -572,9 +572,9 @@ class ProbeScheduler:
         if not can_speculate:
             while (probe := pick_probe(state)) is not None:
                 table, candidate, fallback = probe
-                silo.replace_rows(table, candidate)
+                silo.install_rows(table, candidate)
                 if session.run().is_effectively_empty:
-                    silo.replace_rows(table, fallback)
+                    silo.install_rows(table, fallback)
                     state[table] = fallback
                 else:
                     state[table] = candidate
@@ -614,13 +614,14 @@ class ProbeScheduler:
             if collector is not None:
                 db.budget = collector
             for table, rows in probe_state.items():
-                db.replace_rows(table, rows)
+                db.install_rows(table, rows)
             db_rows = db.total_rows()
-            # evidence fingerprinting mirrors the memo's cost bound: tiny
-            # probe states only, and only when someone is recording
+            # evidence fingerprinting mirrors the memo's cost bound: only
+            # states with few rows left to hash, and only when someone is
+            # recording
             fingerprint = (
                 db.fingerprint()
-                if provenance.enabled and db_rows <= 4096
+                if provenance.enabled and db.undigested_rows() <= 4096
                 else ""
             )
             started = time.perf_counter()
@@ -784,5 +785,5 @@ class ProbeScheduler:
         _discard(node.on_populated)
         _discard(node.on_empty)
         for table in state:
-            silo.replace_rows(table, state[table])
+            silo.install_rows(table, state[table])
         return state

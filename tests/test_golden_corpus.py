@@ -21,6 +21,7 @@ import pytest
 
 from repro.apps import SQLExecutable
 from repro.core import ExtractionConfig, UnmasqueExtractor
+from repro.engine.storage import TableData
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -105,3 +106,42 @@ def test_golden_corpus_pinned_and_jobs_invariant(workload, name, corpus_dbs, req
         f"{golden_path.name}; if the change is intentional re-pin with "
         "--update-goldens"
     )
+
+
+@pytest.mark.parametrize(
+    "workload,name", CORPUS, ids=[f"{w}-{n}" for w, n in CORPUS]
+)
+def test_trusted_installs_are_canonical(workload, name, corpus_dbs, monkeypatch):
+    """Every row the pipeline installs without coercion is already canonical.
+
+    ``TableData.install`` skips ``coerce_row``; it is patched here to record
+    any row that coercion would change in value or in value type, so an
+    external value routed past coercion fails the corpus.  The checker runs
+    too, covering its restore loop.
+    """
+    original = TableData.install
+    installed: list[int] = []
+    violations: list[str] = []
+
+    def checked_install(self, rows):
+        rows = list(rows)
+        for row in rows:
+            coerced = self.coerce_row(row)
+            if coerced != row or list(map(type, coerced)) != list(map(type, row)):
+                violations.append(f"{self.schema.name}: {row!r} -> {coerced!r}")
+        installed.append(len(rows))
+        original(self, rows)
+
+    monkeypatch.setattr(TableData, "install", checked_install)
+    query = _queries(workload)[name]
+    pinned = (GOLDEN_DIR / f"{workload}_{name.lower()}.sql").read_text(
+        encoding="utf-8"
+    ).rstrip("\n")
+    for jobs in JOBS_LEVELS:
+        app = SQLExecutable(query.sql, name=f"golden-{name}")
+        outcome = UnmasqueExtractor(
+            corpus_dbs[workload], app, ExtractionConfig(jobs=jobs)
+        ).extract()
+        assert outcome.sql == pinned
+    assert installed, "no trusted install happened"
+    assert violations == []

@@ -78,7 +78,13 @@ class TestTracedExtraction:
         snap = registry.snapshot()
         assert snap["invocations_total"]["value"] == outcome.stats.total_invocations
         assert snap["extractions_total"]["value"] == 1
-        assert snap["queries_total"]["value"] >= outcome.stats.total_invocations
+        # every physical execution issues at least one query; memo hits
+        # are logical invocations that reach no engine at all
+        physical = (
+            outcome.stats.total_invocations
+            - snap["invocation_cache_hits_total"]["value"]
+        )
+        assert snap["queries_total"]["value"] >= physical
         assert snap["rows_scanned_total"]["value"] > 0
         assert (
             snap["query_latency_seconds"]["count"] == snap["queries_total"]["value"]
