@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.apps.executable import SQLExecutable
+from repro.bench.extraction_bench import LatencySQLExecutable
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import UnmasqueExtractor
 from repro.datagen import tpch
@@ -144,10 +145,12 @@ class TestBudgetedExtraction:
         assert "budget" in outcome.describe()
 
     def test_wall_clock_budget_terminates_promptly(self, budget_tpch_db):
-        # A budget far below the ~seconds this extraction needs: the watchdog
-        # must cut it off close to the limit, not hang to completion.
+        # A budget far below what this extraction needs on any machine: a
+        # fixed 25 ms per physical execution makes the unbudgeted run take
+        # several seconds.  The watchdog must cut it off close to the limit,
+        # not hang to completion.
         config = ExtractionConfig(budget_seconds=0.2, fail_fast=False)
-        app = SQLExecutable(QUERY, obfuscate_text=True)
+        app = LatencySQLExecutable(QUERY, latency=0.025)
         started = time.perf_counter()
         outcome = UnmasqueExtractor(budget_tpch_db, app, config).extract()
         elapsed = time.perf_counter() - started
