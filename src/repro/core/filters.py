@@ -51,9 +51,7 @@ def extract_filters(session: ExtractionSession) -> list[Filter]:
             for table in session.query.tables
             for column in session.nonkey_columns(table)
         ]
-        predicates = session.scheduler.map(
-            columns, _check_column, label="filters"
-        )
+        predicates = session.scheduler.map(columns, _check_column)
         filters = [p for p in predicates if p is not None]
         session.query.filters = filters
         return filters

@@ -54,9 +54,7 @@ def extract_group_by(session: ExtractionSession, svalues: SValueSource) -> list[
                 if probe is not None:
                     probes.append(probe)
 
-        row_counts = session.scheduler.map(
-            probes, _membership_probe, label="group_by"
-        )
+        row_counts = session.scheduler.map(probes, _membership_probe)
         group_by = [
             column
             for (column, _), count in zip(probes, row_counts)

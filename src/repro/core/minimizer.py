@@ -90,7 +90,6 @@ def _halve_to_single_rows(session: ExtractionSession) -> dict[str, tuple]:
         state,
         lambda current: _next_halving(session, current),
         speculate=session.config.halving_policy != "random",
-        label="minimizer",
     )
     d1 = {}
     for table in session.query.tables:

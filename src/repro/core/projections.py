@@ -74,7 +74,6 @@ def extract_projections(session: ExtractionSession, svalues: SValueSource) -> li
         changed_per_unit = session.scheduler.map(
             units,
             lambda ctx, unit: _dependency_probe(ctx, svalues, unit, baseline),
-            label="projections",
         )
         deps_per_output: list[list[MutationUnit]] = [[] for _ in names]
         for unit, changed in zip(units, changed_per_unit):

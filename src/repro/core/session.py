@@ -9,6 +9,7 @@ style breakdowns.
 
 from __future__ import annotations
 
+import copy
 import random
 import time
 from contextlib import contextmanager
@@ -22,8 +23,9 @@ from repro.engine.database import Database, PlanCache
 from repro.engine.result import Result
 from repro.engine.types import NumericDomain, date_to_ordinal
 from repro.errors import DatabaseError, ExecutableTimeoutError, ExtractionError
-from repro.obs.provenance import NULL_PROVENANCE
-from repro.obs.trace import NULL_TRACER
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.provenance import NULL_PROVENANCE, ProvenanceRecorder
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resilience.budgets import BudgetSpec, ResourceBudget
 from repro.resilience.deadlines import worker_timeout
 from repro.resilience.retry import RetryPolicy
@@ -246,6 +248,9 @@ class ExtractionSession:
         self.initial_result: Optional[Result] = None
         #: the single-row minimal database D^1: table -> row tuple
         self.d1: dict[str, tuple] = {}
+        #: a fork's ``update_d1`` calls, replayed by :meth:`join`; ``None``
+        #: on the session itself
+        self._d1_updates: Optional[list[tuple[str, dict]]] = None
         self.baseline_result: Optional[Result] = None
         #: count(*)-HAVING support (§7): every probe database physically
         #: replicates the designated table's rows this many times, so all
@@ -483,11 +488,8 @@ class ExtractionSession:
         self, table: str, mutations: dict[str, object]
     ) -> Result:
         """Run against ``D^1`` with some columns of one table's row replaced."""
-        schema = self.silo.schema(table)
-        row = list(self.d1[table.lower()])
-        for column, value in mutations.items():
-            row[schema.column_index(column)] = value
-        return self.run_on({table.lower(): [tuple(row)]})
+        row = self._d1_row_with(table, mutations)
+        return self.run_on({table.lower(): [row]})
 
     # -- D^1 helpers ---------------------------------------------------------
 
@@ -505,14 +507,98 @@ class ExtractionSession:
 
     def update_d1(self, table: str, mutations: dict[str, object]) -> None:
         """Persistently mutate ``D^1`` (used when refreshing s-values)."""
+        self._install_d1_row(table, self._d1_row_with(table, mutations))
+        if self._d1_updates is not None:
+            self._d1_updates.append((table, dict(mutations)))
+
+    def _d1_row_with(self, table: str, mutations: dict[str, object]) -> tuple:
         schema = self.silo.schema(table)
         row = list(self.d1[table.lower()])
         for column, value in mutations.items():
             row[schema.column_index(column)] = value
-        self.d1[table.lower()] = tuple(row)
-        rows = self._with_multiplier(table, [tuple(row)])
-        self._charge_cells(table, rows)
+        return tuple(row)
+
+    def _install_d1_row(
+        self, table: str, row: tuple, charge: bool = True
+    ) -> None:
+        self.d1[table.lower()] = row
+        rows = self._with_multiplier(table, [row])
+        if charge:
+            self._charge_cells(table, rows)
         self.silo.replace_rows(table, rows)
+
+    # -- parallel probe forks ------------------------------------------------
+
+    def fork(self, base_snapshot) -> "ExtractionSession":
+        """A private copy of this session for one parallel probe task.
+
+        The fork probes a silo replica positioned at ``base_snapshot`` and
+        accounts into its own stats, tracer, metrics registry and evidence
+        recorder; configuration, executable, isolation backend, budget (which
+        locks its own charges), query and metadata are shared.  Everything
+        else is this session's real probe API (``run`` / ``run_on`` /
+        ``update_d1``), so a parallel probe and a sequential one take the
+        same path.  ``rng`` is ``None``: parallel tasks must not draw from
+        the session RNG, and a task that tries fails at once.
+
+        Forks are made and :meth:`join`-ed on the main thread, in submission
+        order; between the two, only the one task that owns a fork touches it.
+        """
+        child = copy.copy(self)
+        child.rng = None
+        child.stats = ExtractionStats()
+        tracer = self.tracer
+        if tracer.enabled:
+            registry = MetricsRegistry() if tracer.metrics is not None else None
+            child.tracer = Tracer(metrics=registry, keep_spans=tracer.keep_spans)
+        if self.provenance.enabled:
+            child.provenance = ProvenanceRecorder()
+        child.d1 = dict(self.d1)
+        child._d1_updates = []
+        child.silo = Database.from_snapshot(
+            base_snapshot,
+            plan_cache=self.silo.plan_cache,
+            clock=self.silo._clock,
+        )
+        child.silo.tracer = child.tracer
+        if self.budget.active:
+            child.silo.budget = self.budget
+        return child
+
+    def join(self, child: "ExtractionSession") -> None:
+        """Fold a finished :meth:`fork` back into this session.
+
+        Invocation, retry and timeout counts, metrics, evidence and spans
+        accumulate; the fork's root spans hang under the current span,
+        tagged ``parallel``.  The fork's ``update_d1`` calls are replayed
+        column by column, so tasks that change different columns of one
+        table's row all land.  The fork already charged the budget for
+        everything it did, so nothing is charged here.
+        """
+        stats = child.stats
+        for name, module_stats in stats.modules.items():
+            self.stats.module(name).invocations += module_stats.invocations
+        self.stats.retries += stats.retries
+        self.stats.invocation_timeouts += stats.invocation_timeouts
+        tracer = self.tracer
+        if tracer.metrics is not None:
+            tracer.metrics.merge(child.tracer.metrics)
+        if tracer.enabled:
+            tracer.adopt(child.tracer.spans, {"parallel": True})
+            span = tracer.current
+            if span is not None:
+                if stats.invocation_timeouts:
+                    span.set_tag("timed_out", True)
+                if stats.retries:
+                    span.tags["retries"] = (
+                        span.tags.get("retries", 0) + stats.retries
+                    )
+        if child.provenance.enabled:
+            self.provenance.absorb(child.provenance)
+        for table, mutations in child._d1_updates:
+            self._install_d1_row(
+                table, self._d1_row_with(table, mutations), charge=False
+            )
 
     # -- sandbox invariant ---------------------------------------------------
 

@@ -9,7 +9,8 @@ indistinguishable to every layer above the invocation boundary —
   exactly as they would in-process (the pipeline's per-module accounting and
   the chaos CLI read them);
 * ``invocations_total`` and ``invocation_latency_seconds`` tick on the
-  session metrics registry, and each invocation opens a ``worker`` span
+  metrics registry of the probed database's tracer (the session's, or a
+  parallel task's fork's), and each invocation opens a ``worker`` span
   (instead of the in-process ``invocation`` span) carrying the worker's
   duration, peak RSS, and crash classification;
 * engine rows scanned inside the worker are charged to the session's
@@ -74,13 +75,19 @@ class ProcessIsolationBackend:
     def invoke(self, db, timeout: Optional[float] = None):
         """Run one invocation out of process against ``db``'s current state.
 
+        The ``worker`` span and the invocation metrics go to ``db.tracer``,
+        as :meth:`~repro.apps.executable.Executable.run` does in-process: a
+        parallel probe calls this from a worker thread with its session
+        fork's silo replica, whose tracer is private to that task.  The
+        pool and the budget are thread-safe.
+
         When the executable carries an invocation memo, a database-state
         match skips the worker round-trip entirely — the dominant cost under
         isolation — while the invocation is still counted, spanned, and
         metered exactly like a physical one.
         """
         executable = self.executable
-        tracer = self.tracer
+        tracer = getattr(db, "tracer", NULL_TRACER)
         memo = executable.memo if executable.cacheable else None
         memo_key = None
         if memo is not None and not getattr(db, "trace_access", False):
@@ -127,33 +134,6 @@ class ProcessIsolationBackend:
         if memo_key is not None:
             memo.store(memo_key, result)
         return result
-
-    def invoke_reply(self, db, timeout: Optional[float] = None) -> dict:
-        """Thread-safe, transport-only invocation for scheduler workers.
-
-        Returns the raw worker reply dict without touching the executable
-        counters, metrics, spans, or budget — the calling probe context
-        applies those itself (under its own locks) so accounting stays
-        exactly-once.  Memo hits short-circuit with a synthetic reply.
-        """
-        executable = self.executable
-        trace_access = bool(getattr(db, "trace_access", False))
-        memo = executable.memo if executable.cacheable else None
-        memo_key = None
-        if memo is not None and not trace_access:
-            memo_key = memo.key_for(db, timeout)
-            if memo_key is not None:
-                cached = memo.lookup(memo_key)
-                if cached is not None:
-                    return {"ok": True, "result": cached, "stats": {}}
-        reply = self.pool.invoke(db, timeout, trace_access=trace_access)
-        stats = reply.get("stats") or {}
-        if trace_access and "access_log" in stats:
-            db.access_log.extend(stats["access_log"])
-        self._mirror_injected()
-        if memo_key is not None and reply.get("ok"):
-            memo.store(memo_key, reply["result"])
-        return reply
 
     def _invoke_inner(self, db, timeout: Optional[float], span):
         trace_access = bool(getattr(db, "trace_access", False))
@@ -234,7 +214,8 @@ class RemoteIsolationBackend(ProcessIsolationBackend):
     -log mirroring, injected-fault mirroring — is inherited unchanged; only
     the pool construction (and the span tag) differ.  That inheritance *is*
     the observability-parity argument: there is no second accounting path to
-    drift.
+    drift, and sequential and parallel probes both enter through
+    :meth:`invoke`.
     """
 
     isolate_label = "remote"

@@ -237,11 +237,11 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry's observations into this one.
 
-        The probe scheduler gives each parallel probe task a private registry
-        (the shared one is not thread-safe) and merges them back on the main
-        thread in deterministic task order — so counter totals and histogram
-        distributions match what the same probes would have recorded
-        sequentially.  Counters and histograms accumulate; gauges adopt the
+        Each parallel probe task runs on a session fork with a private
+        registry (the shared one is not thread-safe); the session's join
+        merges them back on the main thread in submission order, so counter
+        totals and histogram distributions match what the same probes would
+        have recorded sequentially.  Counters and histograms accumulate; gauges adopt the
         other registry's latest value (last writer wins, as sequentially).
         """
         for name in sorted(other._instruments):

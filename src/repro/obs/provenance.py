@@ -26,9 +26,10 @@ isolation worker (``isolated``).
 
 **Exactly-once contract** (DESIGN.md §5.15): the number of ``probe`` events
 equals the logical invocation count for every ``--jobs`` value.  Parallel
-map tasks record into task-local recorders that are absorbed on the main
-thread in submission order (the same fold the metrics registry and span
-records use); speculative halving links are recorded only when consumed.
+map tasks record into their session fork's recorder, which the session's
+join absorbs on the main thread in submission order (the same fold the
+metrics registry and spans use); speculative halving links are recorded
+only when consumed.
 
 The default recorder everywhere is :data:`NULL_PROVENANCE`, a shared no-op:
 call sites pay one attribute load and one method call, nothing else.
@@ -306,11 +307,11 @@ class ProvenanceRecorder:
     # -- parallel fold -------------------------------------------------------
 
     def absorb(self, other: "ProvenanceRecorder") -> None:
-        """Fold a task-local recorder's events into this one, renumbering.
+        """Fold a session fork's recorder events into this one, renumbering.
 
-        Called on the main thread in deterministic submission order (the
-        probe scheduler's batch finalisation), so the merged stream is
-        order-independent of thread interleaving — evidence stays
+        Called on the main thread in deterministic submission order (by
+        the session's join of a parallel probe task's fork), so the merged
+        stream is order-independent of thread interleaving — evidence stays
         exactly-once and clause chains keep pointing at their own probes.
         """
         remap: dict[int, int] = {}

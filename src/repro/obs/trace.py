@@ -178,11 +178,9 @@ class Tracer:
     ) -> Span:
         """Append an already-finished span as a child of the current span.
 
-        This is the probe scheduler's post-hoc span path: worker threads must
-        not touch the tracer's span stack (it is not thread-safe and their
-        spans would nest under whatever the main thread has open), so the
-        scheduler captures timing off-thread and *records* the finished
-        invocation spans afterwards, in deterministic submission order.
+        The speculative halving chain's post-hoc span path: its probes run
+        on worker threads with no tracer at all, and only the links the
+        chain consumes are recorded afterwards, on the main thread.
         """
         now = time.perf_counter()
         span = Span(
@@ -198,6 +196,32 @@ class Tracer:
         if self.keep_spans:
             self.spans.append(span)
         return span
+
+    def adopt(self, spans: Iterable[Span], tags: Optional[dict] = None) -> None:
+        """Graft finished spans recorded by another tracer into this one.
+
+        Parallel probe tasks trace into a private tracer each (the span
+        stack is not thread-safe); the session's join adopts those spans on
+        the main thread.  Span ids are renumbered into this tracer's
+        sequence, parent links are kept, and every root is hung under the
+        current span with ``tags`` added.
+        """
+        spans = list(spans)
+        remap: dict[int, int] = {}
+        for span in spans:
+            remap[span.span_id] = self._next_id
+            self._next_id += 1
+        parent = self._stack[-1].span_id if self._stack else None
+        for span in spans:
+            span.span_id = remap[span.span_id]
+            if span.parent_id is None:
+                span.parent_id = parent
+                if tags:
+                    span.tags.update(tags)
+            else:
+                span.parent_id = remap[span.parent_id]
+            if self.keep_spans:
+                self.spans.append(span)
 
     @property
     def current(self) -> Optional[Span]:

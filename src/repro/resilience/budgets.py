@@ -22,6 +22,7 @@ with a structured outcome rather than a hang.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -67,6 +68,10 @@ class ResourceBudget:
     The clock is injectable for deterministic tests.  When a metrics registry
     is attached, usage is mirrored into ``budget_*`` gauges and exhaustions
     into the ``budget_exhaustions_total`` counter.
+
+    Charges are thread-safe: parallel probe tasks charge one shared budget.
+    The lock is taken only by an :attr:`active` budget, so an unbudgeted run
+    never locks.
     """
 
     def __init__(
@@ -91,6 +96,7 @@ class ResourceBudget:
         self.module: Optional[str] = None
         self.module_invocations: dict[str, int] = {}
         self.exhausted: Optional[BudgetExhausted] = None
+        self._lock = threading.Lock()
 
     @property
     def enabled(self) -> bool:
@@ -140,49 +146,53 @@ class ResourceBudget:
     def charge_invocation(self) -> None:
         if not self.active:
             return
-        self.invocations += 1
-        module = self.module or "?"
-        used = self.module_invocations.get(module, 0) + 1
-        self.module_invocations[module] = used
-        self._gauge("budget_invocations_used", self.invocations)
-        limit = self.spec.max_invocations
-        if limit is not None and self.invocations > limit:
-            self._exhaust("invocations", limit, self.invocations)
-        module_limit = self.spec.max_module_invocations
-        if module_limit is not None and used > module_limit:
-            self._exhaust("module_invocations", module_limit, used)
+        with self._lock:
+            self.invocations += 1
+            module = self.module or "?"
+            used = self.module_invocations.get(module, 0) + 1
+            self.module_invocations[module] = used
+            self._gauge("budget_invocations_used", self.invocations)
+            limit = self.spec.max_invocations
+            if limit is not None and self.invocations > limit:
+                self._exhaust("invocations", limit, self.invocations)
+            module_limit = self.spec.max_module_invocations
+            if module_limit is not None and used > module_limit:
+                self._exhaust("module_invocations", module_limit, used)
 
     def charge_invocations(self, count: int) -> None:
         """Bulk-charge ``count`` invocations (tenant ledgers settling a job)."""
         if not self.active or count <= 0:
             return
-        self.invocations += count
-        module = self.module or "?"
-        used = self.module_invocations.get(module, 0) + count
-        self.module_invocations[module] = used
-        self._gauge("budget_invocations_used", self.invocations)
-        limit = self.spec.max_invocations
-        if limit is not None and self.invocations > limit:
-            self._exhaust("invocations", limit, self.invocations)
+        with self._lock:
+            self.invocations += count
+            module = self.module or "?"
+            used = self.module_invocations.get(module, 0) + count
+            self.module_invocations[module] = used
+            self._gauge("budget_invocations_used", self.invocations)
+            limit = self.spec.max_invocations
+            if limit is not None and self.invocations > limit:
+                self._exhaust("invocations", limit, self.invocations)
 
     def charge_rows_scanned(self, count: int) -> None:
         if not self.active:
             return
-        self.rows_scanned += count
-        self._gauge("budget_rows_scanned_used", self.rows_scanned)
-        limit = self.spec.max_rows_scanned
-        if limit is not None and self.rows_scanned > limit:
-            self._exhaust("rows_scanned", limit, self.rows_scanned)
+        with self._lock:
+            self.rows_scanned += count
+            self._gauge("budget_rows_scanned_used", self.rows_scanned)
+            limit = self.spec.max_rows_scanned
+            if limit is not None and self.rows_scanned > limit:
+                self._exhaust("rows_scanned", limit, self.rows_scanned)
 
     def charge_cells(self, count: int) -> None:
         if not self.active:
             return
-        self.cells += count
-        self._gauge("budget_cells_materialized_used", self.cells)
-        self._notify("cells", self.cells)
-        limit = self.spec.max_cells
-        if limit is not None and self.cells > limit:
-            self._exhaust("cells", limit, self.cells)
+        with self._lock:
+            self.cells += count
+            self._gauge("budget_cells_materialized_used", self.cells)
+            self._notify("cells", self.cells)
+            limit = self.spec.max_cells
+            if limit is not None and self.cells > limit:
+                self._exhaust("cells", limit, self.cells)
 
     def check_wall_clock(self) -> None:
         limit = self.spec.max_seconds
@@ -190,8 +200,9 @@ class ResourceBudget:
             return
         elapsed = self.elapsed()
         if elapsed > limit:
-            self._gauge("budget_wall_seconds_used", elapsed)
-            self._exhaust("wall_clock_seconds", limit, round(elapsed, 3))
+            with self._lock:
+                self._gauge("budget_wall_seconds_used", elapsed)
+                self._exhaust("wall_clock_seconds", limit, round(elapsed, 3))
 
     # -- reporting ---------------------------------------------------------
 

@@ -114,6 +114,56 @@ class TestResourceBudget:
         assert snap["exhausted"] is None
 
 
+class TestConcurrentCharges:
+    def test_threaded_charges_are_exact(self):
+        """Four threads charging one budget: no charge is lost, and exactly
+        ``limit`` invocation charges succeed before each thread's next one
+        raises."""
+        import sys
+        import threading
+
+        limit = 60000
+        budget = ResourceBudget(
+            BudgetSpec(max_invocations=limit, max_rows_scanned=10**12)
+        )
+        budget.set_module("filters")
+        successes = [0] * 4
+        failures = [0] * 4
+        barrier = threading.Barrier(4)
+
+        def charge(slot):
+            barrier.wait(timeout=60)
+            while True:
+                budget.charge_rows_scanned(3)
+                try:
+                    budget.charge_invocation()
+                except BudgetExhausted:
+                    failures[slot] += 1
+                    return
+                successes[slot] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=charge, args=(slot,))
+                for slot in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(successes) == limit
+        assert failures == [1, 1, 1, 1]
+        assert budget.invocations == limit + 4
+        assert budget.module_invocations == {"filters": limit + 4}
+        assert budget.rows_scanned == 3 * (limit + 4)
+        assert budget.exhausted is not None
+
+
 @pytest.fixture(scope="module")
 def budget_tpch_db():
     return tpch.build_database(scale=0.001, seed=13)

@@ -181,3 +181,40 @@ class TestSessionComposition:
         finally:
             session.backend = None
             session.close()
+
+
+class TestParallelProbeDeadline:
+    """Parallel probe × process worker: the wall-clock budget still wins.
+
+    A parallel probe goes through the session's own ``run``, so the worker
+    timeout is composed with the remaining budget and the kill surfaces as
+    the structured ``BudgetExhausted`` — not as a hang that lasts until the
+    30 s worker default.
+    """
+
+    def test_hung_parallel_probe_is_cut_at_the_budget(self, tiny_tpch_db):
+        import time
+
+        from repro.core.config import ExtractionConfig
+        from repro.core.session import ExtractionSession
+        from repro.errors import BudgetExhausted
+
+        from tests.isolation_workloads import BusyLooper
+
+        config = ExtractionConfig(
+            jobs=2,
+            isolate="process",
+            budget_seconds=2.0,
+            retry_max_attempts=1,
+        )
+        session = ExtractionSession(tiny_tpch_db, BusyLooper(60.0), config)
+        try:
+            session.budget.start()
+            started = time.perf_counter()
+            with pytest.raises(BudgetExhausted):
+                with session.module("filters"):
+                    session.scheduler.map([0, 1], lambda ctx, _: ctx.run())
+            elapsed = time.perf_counter() - started
+            assert elapsed < 2.0 + config.worker_kill_grace + 5.0
+        finally:
+            session.close()

@@ -3,8 +3,9 @@
 The golden-corpus and sweep suites check the determinism contract end to
 end; this suite pins the scheduler's own semantics — map parity with the
 sequential schedule, submission-order error selection, speculative chain
-resolution and its gates, and the exactly-once accounting of logical
-invocations into module stats, budgets, and metrics.
+resolution and its gates, the session fork/join contract, and the
+exactly-once accounting of logical invocations into module stats, budgets,
+metrics and spans.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ from repro.core import ExtractionConfig, UnmasqueExtractor
 from repro.core.from_clause import extract_tables
 from repro.core.minimizer import minimize
 from repro.core.session import ExtractionSession
+from repro.datagen import tpch
+from repro.errors import BudgetExhausted
 from repro.obs import MetricsRegistry, Tracer
+from repro.resilience.budgets import BudgetSpec, ResourceBudget
+from repro.resilience.faults import FAULT_PROFILES, FaultyExecutable
 from repro.workloads import tpch_queries
 
 Q3 = tpch_queries.QUERIES["Q3"].sql
@@ -162,3 +167,129 @@ class TestAccounting:
         assert outcome.caches.get("plan_cache") is None
         assert outcome.caches.get("invocation_cache") is None
         assert outcome.caches["scheduler"]["jobs"] == 1
+
+
+class TestForkContract:
+    def test_parallel_task_has_no_rng(self, tiny_tpch_db):
+        session = make_session(tiny_tpch_db, Q6, jobs=2)
+        minimize(session)
+        with session.module("filters"):
+            seen = session.scheduler.map(
+                [0, 1], lambda ctx, _: (ctx is session, ctx.rng)
+            )
+        assert seen == [(False, None), (False, None)]
+        assert session.rng is not None
+        session.close()
+
+    def test_d1_updates_to_different_columns_all_land(self, tiny_tpch_db):
+        """Two forks change different columns of one table's row; joining
+        both, in order, keeps both changes in ``d1`` and in the silo."""
+        session = make_session(tiny_tpch_db, Q6, jobs=2)
+        minimize(session)
+        resident = dict(session.d1)
+        base = session.silo.snapshot()
+        updates = [("l_quantity", 7), ("l_comment", "forked")]
+        forks = [session.fork(base) for _ in updates]
+        for fork, (column, value) in zip(forks, updates):
+            fork.update_d1("lineitem", {column: value})
+        assert session.d1 == resident
+        for fork in forks:
+            session.join(fork)
+        schema = session.silo.schema("lineitem")
+        (silo_row,) = session.silo.rows("lineitem")
+        for column, value in updates:
+            index = schema.column_index(column)
+            assert session.d1["lineitem"][index] == value
+            assert silo_row[index] == value
+        session.close()
+
+    def test_cells_are_charged_once_where_the_task_runs(self, tiny_tpch_db):
+        """A fork charges the shared budget as its task runs, and the join
+        does not charge again: totals match jobs 1, and a cell limit crossed
+        by a task's ``update_d1`` stops that task before its probe."""
+
+        def task(ctx, value):
+            ctx.update_d1("lineitem", {"l_quantity": value})
+            return ctx.run_on({"lineitem": [ctx.d1["lineitem"]] * 2})
+
+        def update_then_run(ctx, value):
+            ctx.update_d1("lineitem", {"l_quantity": value})
+            return ctx.run()
+
+        charged = {}
+        for jobs in (1, 4):
+            session = make_session(
+                tiny_tpch_db, Q6, jobs=jobs, budget_cells=10**9
+            )
+            minimize(session)
+            budget = session.budget
+            cells, invocations = budget.cells, budget.invocations
+            with session.module("filters"):
+                session.scheduler.map([1, 2, 3, 4], task)
+            charged[jobs] = (
+                budget.cells - cells,
+                budget.invocations - invocations,
+            )
+            session.close()
+        assert charged[1] == charged[4]
+        assert charged[1][0] > 0
+
+        session = make_session(tiny_tpch_db, Q6, jobs=4)
+        minimize(session)
+        session.budget = ResourceBudget(BudgetSpec(max_cells=1))
+        session.silo.budget = session.budget
+        with session.module("filters"):
+            with pytest.raises(BudgetExhausted):
+                session.scheduler.map([1, 2, 3, 4], update_then_run)
+        assert session.budget.invocations == 0
+        assert session.stats.module("filters").invocations == 0
+        session.close()
+
+
+@pytest.fixture(scope="module")
+def q3_db():
+    return tpch.build_database(scale=0.001, seed=7)
+
+
+class TestForkParity:
+    def test_retry_metrics_and_invocation_spans_match_jobs1(self, q3_db):
+        """Retries, the ``retries_total`` metric and the invocation span tree
+        are the same at jobs 1 and 4, and a parallel invocation's engine
+        queries nest under its span."""
+        observed = {}
+        for jobs in (1, 4):
+            registry = MetricsRegistry()
+            tracer = Tracer(metrics=registry)
+            outcome = UnmasqueExtractor(
+                q3_db,
+                FaultyExecutable(
+                    SQLExecutable(Q3, name="parity"),
+                    FAULT_PROFILES["transient"],
+                ),
+                ExtractionConfig(
+                    run_checker=False,
+                    jobs=jobs,
+                    retry_base_delay=0.0,
+                    retry_max_delay=0.0,
+                ),
+                tracer=tracer,
+            ).extract()
+            assert outcome.stats.retries > 0
+            assert (
+                registry.snapshot()["retries_total"]["value"]
+                == outcome.stats.retries
+            )
+            invocations = [s for s in tracer.spans if s.kind == "invocation"]
+            query_parents = {
+                s.parent_id for s in tracer.spans if s.kind == "query"
+            }
+            parallel = [
+                s
+                for s in invocations
+                if s.tags.get("parallel")
+                and s.tags.get("invocation_cache") != "hit"
+            ]
+            assert all(s.span_id in query_parents for s in parallel)
+            observed[jobs] = (len(invocations), len(parallel) > 0)
+        assert observed[1][0] == observed[4][0]
+        assert observed[4][1]
